@@ -13,14 +13,17 @@ Three checks on a diurnal-trace workload:
   experiments must be replayable from their config alone. The report's
   "real wall-clock" lines measure *host* time (``time.perf_counter``
   inside scheduler invocations) and are masked before comparison — they
-  are the one part of the report that is not simulation state.
+  are the one part of the report that is not simulation state. Their
+  cell widths still pad the other columns of the same table, so the
+  comparison also collapses column padding; every simulated value is
+  still compared.
 * **Null-plan identity** — a server configured with an all-zero
   ``FaultPlan`` produces exactly the same per-query records as one with
   no plan at all (same spirit as ``bench_obs_overhead.py``: the fault
   subsystem only acts when asked).
-* **Fault-path identity** — a ``task_timeout`` no execution can hit
-  engages the fault-mode event loop without changing any outcome; the
-  records must still match the plain path.
+* **Inert-timeout identity** — a ``task_timeout`` no execution can hit
+  arms a watchdog on every task without changing any outcome; the
+  records must still match the plain config.
 
 Results go to ``benchmarks/results/BENCH_faults.json``.
 """
@@ -84,10 +87,12 @@ def run(config, workload, traced=False):
     return server.run(workload), tracer
 
 
-def mask_wall_clock(report):
-    """Drop host-time lines: real wall-clock is not simulation state."""
+def comparable_report(report):
+    """Drop host-time lines (real wall-clock is not simulation state)
+    and collapse the column padding their cell widths leave behind."""
     return "\n".join(
-        line for line in report.splitlines() if "wall-clock" not in line
+        " ".join(line.split())
+        for line in report.splitlines() if "wall-clock" not in line
     )
 
 
@@ -106,8 +111,12 @@ def check_determinism():
     )
     result_a, tracer_a = run(config, workload, traced=True)
     result_b, tracer_b = run(config, workload, traced=True)
-    report_a = mask_wall_clock(render_report(result_a, tracer_a, duration=DURATION))
-    report_b = mask_wall_clock(render_report(result_b, tracer_b, duration=DURATION))
+    report_a = comparable_report(
+        render_report(result_a, tracer_a, duration=DURATION)
+    )
+    report_b = comparable_report(
+        render_report(result_b, tracer_b, duration=DURATION)
+    )
     records_ok = result_a.records == result_b.records
     report_ok = report_a == report_b
     return {

@@ -93,7 +93,7 @@ def make_instance(rng, n_queries, n_models, equal_latencies=False,
     ``equal_latencies`` forces bit-identical finish-time collisions
     (any two plans running each model equally often tie exactly);
     ``downed_model`` puts one model's busy time at +inf, the degraded
-    state fault-mode serving feeds the scheduler.
+    state serving under crash faults feeds the scheduler.
     """
     if equal_latencies:
         latencies = np.full(n_models, 0.05)

@@ -2,8 +2,7 @@
 
 Renamed from ``repro.cluster`` so the serving-fleet namespace
 (:mod:`repro.fleet`) is unambiguous: this package is the DES
-clustering substrate, not a serving cluster. ``repro.cluster`` still
-works as a deprecation shim re-exporting :class:`KMeans`.
+clustering substrate, not a serving cluster.
 """
 
 from repro.clustering.kmeans import KMeans

@@ -11,9 +11,10 @@ faulty run is exactly reproducible: the same plan and the same
 workload always produce the same failures, the same retries and the
 same degraded answers (the CI determinism check relies on this).
 
-A default-constructed plan is *null*: it injects nothing, and the
-server bypasses the fault machinery entirely, keeping the reliable
-path byte-identical to the fault-free event loop.
+A default-constructed plan is *null*: it injects nothing. The server
+runs one event loop for every config, and under a null plan the
+injector draws no random numbers and returns every base latency
+unchanged, so the run is exactly the paper's reliable serving model.
 """
 
 from __future__ import annotations

@@ -210,23 +210,55 @@ class TestQuietWorkloadEquivalence:
         )
 
 
-class TestGuards:
-    def test_controlled_mode_rejects_faulty_shards(self):
+@pytest.mark.faults
+class TestFaultyControl:
+    """Control composes with fault injection: scaled replicas join a
+    faulty deployment (without crash windows of their own)."""
+
+    @staticmethod
+    def run_once():
         from repro.faults import FaultPlan
 
         policy, quality = make_policy()
-        workload = burst_workload(quality, n=50)
+        workload = burst_workload(quality, n=3000)
+        plan = FaultPlan(
+            seed=3, latency_jitter=0.2, task_failure_rate=0.05,
+        ).with_random_crashes(
+            n_workers=len(LATENCIES), duration=40.0, crash_rate=0.1,
+            mean_downtime=0.5, seed=4,
+        )
         fleet = FleetServer.from_config(
             LATENCIES, policy,
             FleetConfig.uniform(
                 2,
-                ServerConfig(faults=FaultPlan(task_failure_rate=0.1)),
-                control=control_config(),
+                ServerConfig(faults=plan, task_timeout=0.05, max_retries=1),
+                queue_limit=8, control=control_config(),
             ),
         )
-        with pytest.raises(ValueError, match="fault-free"):
-            fleet.run(workload)
+        return fleet.run(workload), workload
 
+    def test_every_query_accounted_once_and_log_replays(self):
+        first, workload = self.run_once()
+        second, _ = self.run_once()
+        assert first.control_log.counts().get(sp.SCALE_UP, 0) >= 1
+        records = first.merged.records
+        assert len(records) == workload.n_queries
+        assert sum(r.retries for r in records) > 0
+        for qid, record in enumerate(records):
+            assert record.query_id == qid
+            # Completed xor rejected (shed queries are rejected too).
+            assert (record.completion is not None) != record.rejected
+            if first.assignments[qid] < 0:
+                assert record.rejected
+        served = np.concatenate(first.shard_query_ids)
+        assert sorted(served.tolist()) == sorted(
+            np.flatnonzero(first.assignments >= 0).tolist()
+        )
+        assert first.control_log.dumps() == second.control_log.dumps()
+        assert first.merged.records == second.merged.records
+
+
+class TestGuards:
     def test_config_requires_control_config_type(self):
         with pytest.raises(TypeError):
             FleetConfig.uniform(2, ServerConfig(), control=object())

@@ -81,9 +81,9 @@ class TestNullPlanIdentity:
         buffered_policy,
     ], ids=["immediate", "buffered"])
     def test_fault_path_without_faults_is_identical(self, make_policy):
-        # task_timeout engages the fault-mode event loop even with no
+        # task_timeout arms a watchdog on every task even with no
         # plan; with a timeout no execution can hit, the records must
-        # still match the plain path event for event.
+        # still match the plain config event for event.
         wl = random_workload(seed=1)
         plain = EnsembleServer.from_config(
             LAT, make_policy(), ServerConfig(**NO_OVERHEAD)

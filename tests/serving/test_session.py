@@ -175,6 +175,26 @@ class TestReplicaHooks:
         # Only the baseline worker serves: strictly serial.
         np.testing.assert_allclose(completions, [0.1, 0.2])
 
+    def test_replicas_serve_through_a_baseline_crash(self):
+        from repro.faults import DowntimeWindow, FaultPlan
+
+        config = ServerConfig(
+            faults=FaultPlan(downtime=(DowntimeWindow(0, 0.0, 10.0),))
+        )
+        server = EnsembleServer.from_config(
+            [0.1], ImmediateMaskPolicy("p", 0b1), config,
+            tracer=RecordingTracer(),
+        )
+        session = server.session()
+        assert server.add_replica_set(0.0) == [1]
+        session.offer(0.0, 5.0, 0)
+        result = session.finish()
+        # The baseline worker is down until t=10; the replica has no
+        # crash window of its own and serves at once.
+        assert result.records[0].completion == pytest.approx(0.1)
+        dispatch = [s for s in server.tracer.spans if s.kind == "dispatch"]
+        assert [s.attrs["worker"] for s in dispatch] == [1]
+
     def test_session_reset_discards_extras(self):
         server = EnsembleServer([0.1], ImmediateMaskPolicy("p", 0b1))
         server.add_replica_set(0.0)
