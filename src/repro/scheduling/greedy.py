@@ -4,17 +4,15 @@ Processes queries in a chosen order (EDF/FIFO/SJF) and, for each query,
 picks the feasible subset with the highest reward — ignoring the queries
 still behind it, which is exactly the myopia the DP algorithm fixes.
 
-The per-query subset search is vectorized over the whole mask grid using
-the instance's shared membership/increment tables, and the selection is
-fully deterministic: highest reward, then earliest completion, then
-lowest mask. (The loop form's tie-break depended on mask enumeration
-order when an equal-reward, equal-completion subset appeared later —
-the plan could differ between otherwise identical runs of the search.)
+Serving buffers are tiny, so the search is plain Python over lists
+(numpy call overhead would dominate it). A mask's completion time
+depends only on the running busy times, not on the query, so it is
+recomputed only after a query takes a non-empty mask. The selection is
+deterministic: highest reward, then earliest completion (each within
+eps), then lowest mask.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.scheduling.orders import ORDERS
 from repro.scheduling.problem import (
@@ -43,47 +41,49 @@ class GreedyScheduler:
 
     def schedule(self, instance: SchedulingInstance) -> ScheduleResult:
         """Pick the highest-reward feasible subset per query in order."""
-        if instance.n_queries == 0:
-            return ScheduleResult(decisions=[], total_utility=0.0, work_units=0)
-
-        order = ORDERS[self.order](instance.queries)
-        queries = [instance.queries[i] for i in order]
-        n_masks = 1 << instance.n_models
-        membership = instance.mask_membership  # (n_masks, m) bool
-        increments = instance.mask_increments  # (n_masks, m) float
-        masks = np.arange(n_masks)
-        times = instance.busy_until.astype(float, copy=True)
-
+        queries = instance.queries
+        members = instance.masks.members
+        # Mask j completes when mask (j minus its top member) and that
+        # member have both finished; max is exact, so order is moot.
+        steps = [(j ^ (1 << m[-1]), m[-1]) for j, m in enumerate(members) if m]
+        latencies = instance.latencies.tolist()
+        # finish[k]: when model k would finish one more task.
+        busy = instance.busy_until.tolist()
+        finish = [t + latency for t, latency in zip(busy, latencies)]
+        completion = _completions(steps, finish)
+        now = instance.now
         decisions = []
         total = 0.0
-        # Unified accounting: one unit per non-empty subset evaluated.
-        work_units = instance.n_queries * (n_masks - 1)
-        for query in queries:
-            relative_deadline = query.deadline - instance.now
-            completion = np.where(
-                membership, times[None, :] + increments, -np.inf
-            ).max(axis=1)  # (n_masks,); mask 0 -> -inf
-            rewards = query.utilities
-            eligible = (
-                (masks > 0)
-                & (completion <= relative_deadline + _EPS)
-                & (rewards > _EPS)
-            )
+        for i in ORDERS[self.order](queries):
+            query = queries[i]
+            limit = query.deadline - now + _EPS
+            rewards = query.utilities.tolist()
+            eligible = [
+                j for j in range(1, len(members))
+                if completion[j] <= limit and rewards[j] > _EPS
+            ]
             best_mask = 0
-            if np.any(eligible):
-                # Deterministic tie-break: reward (within eps), then
-                # completion (within eps), then lowest mask.
-                contenders = rewards >= rewards[eligible].max() - _EPS
-                contenders &= eligible
-                fastest = completion[contenders].min()
-                contenders &= completion <= fastest + _EPS
-                best_mask = int(masks[contenders][0])
-            if best_mask:
-                times = times + increments[best_mask]
-                total += float(rewards[best_mask])
-            decisions.append(
-                ScheduleDecision(query_id=query.query_id, mask=best_mask)
-            )
-        return ScheduleResult(
-            decisions=decisions, total_utility=total, work_units=work_units
-        )
+            if eligible:
+                floor = max([rewards[j] for j in eligible]) - _EPS
+                contenders = [j for j in eligible if rewards[j] >= floor]
+                fastest = min([completion[j] for j in contenders]) + _EPS
+                for best_mask in contenders:
+                    if completion[best_mask] <= fastest:
+                        break
+                for k in members[best_mask]:
+                    finish[k] += latencies[k]
+                completion = _completions(steps, finish)
+                total += rewards[best_mask]
+            decisions.append(ScheduleDecision(query.query_id, best_mask))
+        # Unified accounting: one unit per non-empty subset evaluated.
+        work_units = len(queries) * (len(members) - 1)
+        return ScheduleResult(decisions, total, work_units)
+
+
+def _completions(steps, finish):
+    """Completion time per mask (index 0, the empty mask, is -inf)."""
+    completion = [float("-inf")]
+    for rest, top in steps:
+        f, r = finish[top], completion[rest]
+        completion.append(f if f > r else r)
+    return completion

@@ -8,6 +8,7 @@ busy time. It returns a subset mask per query and the processing order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -46,6 +47,10 @@ class QueryRequest:
             raise ValueError(
                 f"utilities must be 1-d, got shape {self.utilities.shape}"
             )
+        if not math.isfinite(self.arrival):
+            raise ValueError(f"arrival must be finite, got {self.arrival}")
+        if self.deadline != self.deadline:
+            raise ValueError("deadline must not be NaN")
         if self.deadline < self.arrival:
             raise ValueError(
                 f"deadline {self.deadline} precedes arrival {self.arrival}"
@@ -143,21 +148,27 @@ class SchedulingInstance:
     now: float = 0.0
 
     def __post_init__(self):
+        # The server builds one instance per scheduler call over a few
+        # models, so the checks walk Python lists: numpy's per-call
+        # overhead on length-m vectors would cost more than the checks.
         self.latencies = np.asarray(self.latencies, dtype=float)
         self.busy_until = np.asarray(self.busy_until, dtype=float)
         if self.latencies.ndim != 1 or self.latencies.size == 0:
             raise ValueError("latencies must be a non-empty 1-d array")
-        if np.any(self.latencies <= 0):
-            raise ValueError("latencies must be positive")
+        for latency in self.latencies.tolist():
+            if not latency > 0:  # also rejects NaN
+                raise ValueError("latencies must be positive")
         if self.busy_until.shape != self.latencies.shape:
             raise ValueError(
                 f"busy_until shape {self.busy_until.shape} must match "
                 f"latencies shape {self.latencies.shape}"
             )
-        if np.any(np.isnan(self.busy_until)):
-            raise ValueError("busy_until entries must not be NaN")
-        if np.any(self.busy_until < 0):
-            raise ValueError("busy_until entries must be non-negative")
+        busy = self.busy_until.tolist()
+        for remaining in busy:
+            if not remaining >= 0:  # NaN or negative
+                if any(b != b for b in busy):
+                    raise ValueError("busy_until entries must not be NaN")
+                raise ValueError("busy_until entries must be non-negative")
         n_masks = 1 << self.n_models
         for query in self.queries:
             if query.utilities.shape[0] != n_masks:

@@ -185,8 +185,18 @@ class EnsembleServer:
         self.config = config if config is not None else ServerConfig()
         self.explain = explain
         self.latencies = np.asarray(latencies, dtype=float)
-        if self.latencies.ndim != 1 or np.any(self.latencies <= 0):
+        # ``not all(> 0)`` rather than ``any(<= 0)``: NaN compares False.
+        if self.latencies.ndim != 1 or not np.all(self.latencies > 0):
             raise ValueError("latencies must be a 1-d array of positives")
+        if isinstance(policy, BufferedSchedulingPolicy):
+            # Fail here, not at the first scheduler call mid-run.
+            width = policy.utilities.shape[1]
+            n_models = self.latencies.shape[0]
+            if width != 1 << n_models:
+                raise ValueError(
+                    f"policy utilities have {width} columns, expected "
+                    f"{1 << n_models} for {n_models} models"
+                )
         self.policy = policy
         if workers is None:
             workers = [

@@ -9,6 +9,7 @@ from repro.scheduling.problem import (
     SchedulingInstance,
     evaluate_schedule,
 )
+from tests.scheduling._greedy_oracle import oracle_greedy
 
 
 class TestGreedyScheduler:
@@ -123,3 +124,83 @@ class TestGreedyScheduler:
     def test_empty_instance(self):
         inst = SchedulingInstance([], np.array([0.1]), np.zeros(1))
         assert GreedyScheduler("edf").schedule(inst).decisions == []
+
+
+def _random_instance(rng, m, n_queries):
+    """One random instance with exact reward and completion ties.
+
+    Rewards are rounded to one decimal, so equal-reward masks are
+    common; latencies are sometimes equal, so equal completions are
+    too; busy entries are sometimes 0 or ``inf`` (a downed model)."""
+    latencies = rng.uniform(0.005, 0.05, m)
+    if rng.random() < 0.3:
+        latencies = np.full(m, 0.02)
+    busy = rng.uniform(0.0, 0.05, m) * (rng.random(m) < 0.7)
+    if rng.random() < 0.25:
+        busy[rng.integers(m)] = np.inf
+    now = float(rng.uniform(0.0, 10.0))
+    queries = []
+    for qid in range(n_queries):
+        utilities = rng.uniform(0.0, 1.0, 1 << m)
+        if rng.random() < 0.7:
+            utilities = np.round(utilities, 1)
+        utilities[0] = 0.0
+        queries.append(
+            QueryRequest(
+                qid,
+                arrival=now - float(rng.uniform(0.0, 0.05)),
+                deadline=now + float(rng.uniform(0.0, 0.2)),
+                utilities=utilities,
+                score=float(np.round(rng.random(), 1)),
+            )
+        )
+    return SchedulingInstance(queries, latencies, busy, now=now)
+
+
+class TestGreedyOracleParity:
+    """The scalar greedy must reproduce the frozen numpy greedy exactly:
+    same decisions in the same order, same total and same work units."""
+
+    @pytest.mark.parametrize("order", ["edf", "fifo", "sjf"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_matches_numpy_oracle(self, m, order):
+        rng = np.random.default_rng([m, ord(order[0])])
+        sizes = [0, 1, 2, 3, 7, 64] + [int(n) for n in rng.integers(0, 65, 34)]
+        for n_queries in sizes:
+            inst = _random_instance(rng, m, n_queries)
+            got = GreedyScheduler(order).schedule(inst)
+            want = oracle_greedy(inst, order)
+            assert got.decisions == want.decisions
+            assert got.total_utility == want.total_utility
+            assert got.work_units == want.work_units
+
+    def test_exact_reward_and_completion_ties(self):
+        """Every non-empty mask has the same reward and (equal
+        latencies, idle models) the same completion: lowest mask wins,
+        in both implementations, for every query that still fits."""
+        m = 3
+        utilities = np.full(1 << m, 0.5)
+        utilities[0] = 0.0
+        queries = [QueryRequest(q, 0.0, 0.1, utilities) for q in range(6)]
+        inst = SchedulingInstance(queries, np.full(m, 0.02), np.zeros(m))
+        got = GreedyScheduler("edf").schedule(inst)
+        assert got.decisions == oracle_greedy(inst, "edf").decisions
+        assert [d.mask for d in got.decisions][:3] == [1, 2, 4]
+
+    def test_ties_within_eps(self):
+        """Rewards and completions that differ by less than eps tie:
+        the faster mask beats a reward edge below eps, and the lower
+        mask beats a completion edge below eps."""
+        latencies = np.array([0.02, 0.02])
+        u = np.array([0.0, 0.5, 0.0, 0.5 + 5e-13])
+        inst = SchedulingInstance(
+            [QueryRequest(0, 0.0, 0.1, u)], latencies, np.array([0.0, 0.01])
+        )
+        assert GreedyScheduler("edf").schedule(inst).mask_for(0) == 1
+        assert oracle_greedy(inst, "edf").mask_for(0) == 1
+        u = np.array([0.0, 0.5, 0.5, 0.0])
+        inst = SchedulingInstance(
+            [QueryRequest(0, 0.0, 0.1, u)], latencies, np.array([5e-13, 0.0])
+        )
+        assert GreedyScheduler("edf").schedule(inst).mask_for(0) == 1
+        assert oracle_greedy(inst, "edf").mask_for(0) == 1

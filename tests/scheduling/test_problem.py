@@ -28,6 +28,17 @@ class TestQueryRequest:
         with pytest.raises(ValueError, match="empty subset"):
             QueryRequest(0, 0.0, 1.0, np.ones(4))
 
+    def test_rejects_non_finite_arrival_and_nan_deadline(self):
+        """NaN slips past ``deadline < arrival`` (every NaN comparison
+        is False), so both are rejected explicitly."""
+        for arrival in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="arrival must be finite"):
+                QueryRequest(0, arrival, 1.0, np.zeros(4))
+        with pytest.raises(ValueError, match="deadline must not be NaN"):
+            QueryRequest(0, 0.0, np.nan, np.zeros(4))
+        # An unbounded deadline is still a valid (never-late) query.
+        assert QueryRequest(0, 0.0, np.inf, np.zeros(4)).deadline == np.inf
+
 
 class TestSchedulingInstance:
     def test_validation(self):
@@ -39,6 +50,37 @@ class TestSchedulingInstance:
             SchedulingInstance(
                 [query(m=3)], np.array([0.1, 0.1]), np.zeros(2)
             )
+
+    @pytest.mark.parametrize(
+        "latencies, busy_until, queries, message",
+        [
+            ([[0.1, 0.1]], [0.0, 0.0], [], "non-empty 1-d array"),
+            ([], [], [], "non-empty 1-d array"),
+            ([0.1, 0.0], [0.0, 0.0], [], "latencies must be positive"),
+            ([0.1, -0.2], [0.0, 0.0], [], "latencies must be positive"),
+            ([np.nan, 0.1], [0.0, 0.0], [], "latencies must be positive"),
+            ([0.1, 0.1], [0.0], [], r"busy_until shape \(1,\) must match"),
+            ([0.1, 0.1], [0.0, np.nan], [], "must not be NaN"),
+            # NaN is reported ahead of a negative entry, wherever it sits.
+            ([0.1, 0.1], [-1.0, np.nan], [], "must not be NaN"),
+            ([0.1, 0.1], [0.0, -1e-9], [], "must be non-negative"),
+            ([0.1, 0.1], [0.0, 0.0], [query(7, m=3)],
+             "query 7 has 8 utilities, expected 4"),
+        ],
+    )
+    def test_each_validation_error(self, latencies, busy_until, queries,
+                                   message):
+        with pytest.raises(ValueError, match=message):
+            SchedulingInstance(
+                queries, np.array(latencies), np.array(busy_until)
+            )
+
+    def test_inf_busy_is_valid(self):
+        """A model with no live worker is ``inf`` busy, not an error."""
+        inst = SchedulingInstance(
+            [query(m=2)], np.array([0.1, 0.2]), np.array([np.inf, 0.0])
+        )
+        assert inst.busy_until[0] == np.inf
 
     def test_properties(self):
         inst = SchedulingInstance(

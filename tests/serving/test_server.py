@@ -171,6 +171,20 @@ class TestServerValidation:
         with pytest.raises(ValueError):
             EnsembleServer([0.0], ImmediateMaskPolicy("p", 1))
 
+    def test_rejects_nan_latency(self):
+        with pytest.raises(ValueError, match="positives"):
+            EnsembleServer([np.nan, 0.01], ImmediateMaskPolicy("p", 1))
+
+    def test_rejects_utility_width_mismatch_at_construction(self):
+        """A 2-model utility table on a 3-model server fails when the
+        server is built, not at the first scheduler call."""
+        policy = BufferedSchedulingPolicy(
+            "schemble", DPScheduler(delta=0.01), quality_table(4, 2)
+        )
+        with pytest.raises(ValueError, match="4 columns, expected 8"):
+            EnsembleServer([0.1, 0.2, 0.3], policy)
+        EnsembleServer([0.1, 0.2], policy)  # matching width builds
+
     def test_rejects_unknown_worker_model(self):
         with pytest.raises(ValueError, match="unknown model"):
             EnsembleServer(
